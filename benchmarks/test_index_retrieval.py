@@ -17,7 +17,16 @@ Scales: 10k and 100k always; the 1M world only when
 the registry marks the 1M gates non-binding otherwise via the recorded
 ``full_scale.enabled`` config flag.
 
-Writes ``benchmarks/results/index_retrieval.txt`` (rendered view) and
+A second suite times the incremental fold (:meth:`VectorIndex.flush` of
+4096 buffered rows into a 20k-row index) as a same-process A/B: the
+current warm-started, vectorised clustering against the per-cell Lloyd
+loop with cold k-means++ seeding it replaced (kept below as
+:func:`_legacy_coarse_cluster`), best of ``FOLD_REPS`` interleaved reps,
+each on a fresh copy of the same built index.  It reports recall@10
+after the fold next to recall@10 after the build.
+
+Writes ``benchmarks/results/index_retrieval.txt`` and
+``index_fold.txt`` (rendered views) and
 ``benchmarks/results/BENCH_index_retrieval.json`` (structured source of
 truth, via the shared :mod:`repro.bench` emitter).
 """
@@ -25,14 +34,18 @@ truth, via the shared :mod:`repro.bench` emitter).
 from __future__ import annotations
 
 import os
+import shutil
 import time
 
 import numpy as np
 from conftest import save_and_print
 
+import repro.index.shards as shards_mod
 from repro.bench import BENCH_INDEX_RETRIEVAL
 from repro.index import VectorIndex, exact_topk, synthetic_queries, \
     synthetic_world
+from repro.index.ivf import DEFAULT_ITERATIONS, TRAIN_SAMPLE_CAP, \
+    _seed_centroids
 
 NUM_QUERIES = 200
 K = 10
@@ -40,6 +53,13 @@ REPS = 5
 SCALES = {"10k": 10_000, "100k": 100_000}
 FULL_SCALE = {"1m": 1_000_000}
 DIM = 32
+FOLD_BASE = 20_000
+FOLD_ROWS = 4096
+FOLD_REPS = 3
+#: Denser than the default world (128 clusters), so neighbour sets span
+#: several index cells and a worse fold layout would show in recall.
+FOLD_CLUSTERS = 1024
+MIN_FOLD_SPEEDUP = 2.5
 
 
 def full_scale_enabled() -> bool:
@@ -52,6 +72,13 @@ def _exact_scan(vectors: np.ndarray, queries: np.ndarray, k: int) -> None:
         row = vectors @ query
         top = np.argpartition(-row, k - 1)[:k]
         top[np.argsort(-row[top], kind="stable")]
+
+
+def _recall_at_k(answers, oracle) -> float:
+    overlap = sum(
+        sum(1 for name, _ in want if name in {n for n, _ in got})
+        for got, want in zip(answers, oracle))
+    return overlap / (len(oracle) * K)
 
 
 def _measure_scale(tmp_path, label: str, count: int) -> dict:
@@ -82,14 +109,11 @@ def _measure_scale(tmp_path, label: str, count: int) -> dict:
 
     top1 = sum(1 for got, want in zip(answers, oracle)
                if got and got[0][0] == want[0][0])
-    overlap = sum(
-        sum(1 for name, _ in want if name in {n for n, _ in got})
-        for got, want in zip(answers, oracle))
     return {
         "count": count,
         "build_s": build_s,
         "recall_at_1": top1 / NUM_QUERIES,
-        "recall_at_10": overlap / (NUM_QUERIES * K),
+        "recall_at_10": _recall_at_k(answers, oracle),
         "index_qps": index_qps,
         "exact_qps": exact_qps,
         "speedup_x": index_qps / exact_qps,
@@ -150,3 +174,101 @@ def test_index_retrieval(results_dir, record_bench, tmp_path):
     for label in ("10k", "100k"):
         assert rows[label]["recall_at_10"] >= 0.95, rows[label]
     assert rows["100k"]["speedup_x"] > 3.0, rows["100k"]
+
+
+def _legacy_coarse_cluster(vectors, nlist, seed=0,
+                           iterations=DEFAULT_ITERATIONS, init=None):
+    """The fold's clustering before vectorisation (the A/B "before").
+
+    Ignores ``init``: every fold re-seeded all cells with k-means++, then
+    each Lloyd iteration looped over the cells with one masked gather and
+    one mean per cell, re-seeding empty cells one at a time.
+    """
+    vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+    count = vectors.shape[0]
+    nlist = max(1, min(int(nlist), count))
+    if nlist == 1:
+        centroid = vectors.mean(axis=0, keepdims=True)
+        centroid /= max(float(np.linalg.norm(centroid)), 1e-12)
+        return centroid.astype(np.float32), np.zeros(count, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    train = vectors
+    if count > TRAIN_SAMPLE_CAP:
+        sample = rng.choice(count, size=TRAIN_SAMPLE_CAP, replace=False)
+        sample.sort()
+        train = vectors[sample]
+    centroids = _seed_centroids(train, nlist, rng)
+    for _ in range(max(1, iterations)):
+        assignments = np.argmax(train @ centroids.T, axis=1)
+        for cell in range(nlist):
+            members = train[assignments == cell]
+            if len(members):
+                centroids[cell] = members.mean(axis=0)
+            else:
+                similarity = (train * centroids[assignments]).sum(axis=1)
+                centroids[cell] = train[int(np.argmin(similarity))]
+        norms = np.linalg.norm(centroids, axis=1, keepdims=True)
+        centroids = (centroids / np.maximum(norms, 1e-12)).astype(np.float32)
+    assignments = np.argmax(vectors @ centroids.T, axis=1).astype(np.int64)
+    return centroids, assignments
+
+
+def test_index_fold_speedup(results_dir, record_bench, tmp_path,
+                            monkeypatch):
+    names, vectors = synthetic_world(FOLD_BASE + FOLD_ROWS, DIM, seed=2,
+                                     clusters=FOLD_CLUSTERS)
+    base_names, base_vectors = names[:FOLD_BASE], vectors[:FOLD_BASE]
+    fresh = dict(zip(names[FOLD_BASE:], vectors[FOLD_BASE:]))
+    queries = synthetic_queries(vectors, NUM_QUERIES, seed=3)
+
+    built_dir = tmp_path / "fold-base"
+    built = VectorIndex(built_dir, fingerprint="bench")
+    built.build(dict(zip(base_names, base_vectors)))
+    build_recall = _recall_at_k(
+        built.query(queries, k=K),
+        exact_topk(base_vectors, base_names, queries, K))
+
+    implementations = {"legacy": _legacy_coarse_cluster,
+                       "current": shards_mod.coarse_cluster}
+    best = {label: float("inf") for label in implementations}
+    folded = None
+    for rep in range(FOLD_REPS):
+        for label, cluster in implementations.items():
+            copy = tmp_path / f"fold-{label}-{rep}"
+            shutil.copytree(built_dir, copy)
+            index = VectorIndex(copy, fingerprint="bench")
+            index.add(fresh)
+            with monkeypatch.context() as patch:
+                patch.setattr(shards_mod, "coarse_cluster", cluster)
+                start = time.perf_counter()
+                assert index.flush() == FOLD_ROWS
+                best[label] = min(best[label], time.perf_counter() - start)
+            if label == "current":
+                folded = index
+    fold_recall = _recall_at_k(folded.query(queries, k=K),
+                               exact_topk(vectors, names, queries, K))
+    speedup = best["legacy"] / best["current"]
+
+    lines = [f"Index fold — {FOLD_ROWS} buffered rows into a {FOLD_BASE:,}"
+             f"-row index, dim {DIM}, best of {FOLD_REPS} interleaved reps",
+             f"  legacy (cold seed, per-cell Lloyd): "
+             f"{best['legacy'] * 1e3:8.1f} ms",
+             f"  current (warm start, vectorised):   "
+             f"{best['current'] * 1e3:8.1f} ms",
+             f"  speedup: {speedup:.2f}x  (required >= "
+             f"{MIN_FOLD_SPEEDUP:.1f}x)",
+             f"  recall@10 after build {build_recall:.3f}, "
+             f"after fold {fold_recall:.3f}"]
+    save_and_print(results_dir, "index_fold.txt", "\n".join(lines))
+    record_bench(BENCH_INDEX_RETRIEVAL, {
+        "fold_s": best["current"],
+        "fold_legacy_s": best["legacy"],
+        "fold_speedup_x": speedup,
+        "fold_build_recall_at_10": build_recall,
+        "fold_recall_at_10": fold_recall,
+    }, config={"fold": {"base_rows": FOLD_BASE, "rows": FOLD_ROWS,
+                        "clusters": FOLD_CLUSTERS, "reps": FOLD_REPS}})
+
+    assert build_recall >= 0.95 and fold_recall >= 0.95, (build_recall,
+                                                          fold_recall)
+    assert speedup >= MIN_FOLD_SPEEDUP, best

@@ -256,6 +256,16 @@ REGISTRY: dict[str, BenchSpec] = {
                 _speedup("speedup_10k_x", tolerance=None),
                 _speedup("speedup_100k_x", tolerance=0.4),
                 MetricSpec("build_100k_s", LOWER_IS_BETTER, unit="s"),
+                # The incremental fold, A/B in one process: absolute
+                # times track, the legacy/current ratio gates, and recall
+                # after the fold gates like recall after a build.
+                MetricSpec("fold_s", LOWER_IS_BETTER, unit="s"),
+                MetricSpec("fold_legacy_s", LOWER_IS_BETTER, unit="s"),
+                _speedup("fold_speedup_x"),
+                _count("fold_build_recall_at_10", HIGHER_IS_BETTER,
+                       tolerance=0.05),
+                _count("fold_recall_at_10", HIGHER_IS_BETTER,
+                       tolerance=0.05),
                 # Million-entity scale runs only when the emitter was
                 # launched with full-scale mode on (slow build): the
                 # config flag makes these non-binding otherwise.

@@ -24,11 +24,18 @@ commit.
 
 Incremental growth goes through :meth:`VectorIndex.add`, an in-memory
 buffer that answers queries brute-force immediately and folds into the
-affected shards' clustered files on :meth:`VectorIndex.flush`.
+affected shards' clustered files on :meth:`VectorIndex.flush`.  A fold
+re-clusters each touched shard warm-started from its committed centroids
+(:func:`repro.index.ivf.coarse_cluster`), so the same rows plus the same
+committed centroids give the same layout.  The rows being folded stay in
+memory and answer ``in``/``get``/``query`` until the new shards are
+swapped in under the same lock; an ``add`` of the same name made during
+the fold is newer and survives the swap.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from pathlib import Path
@@ -156,7 +163,11 @@ class VectorIndex:
         self._generation = 0
         self._shards: list[ShardData | None] = [None] * num_shards
         self._probe_plan: _ProbePlan | None = None
+        # Added rows not yet folded, and the snapshot an in-progress
+        # ``flush`` is folding.  Lookups check both (``_pending`` first:
+        # it is newer) until the fold commits.
         self._pending: dict[str, np.ndarray] = {}
+        self._folding: dict[str, np.ndarray] = {}
         self._counters = {"queries": 0, "adds": 0, "flushes": 0,
                           "builds": 0, "rows_scanned": 0}
         self._load_manifest()
@@ -205,9 +216,13 @@ class VectorIndex:
                 f"{self.num_shards}")
         self._shards = shards
 
-    def _commit(self, shards: list[ShardData | None],
-                generation: int) -> None:
-        """Atomically publish ``shards`` as generation ``generation``."""
+    def _commit(self, shards: list[ShardData | None], generation: int,
+                drop_pending: bool = False) -> None:
+        """Atomically publish ``shards`` as generation ``generation``.
+
+        The swap also retires the folded snapshot (its rows now live in
+        ``shards``) and, with ``drop_pending``, the whole add buffer.
+        """
         manifest = {
             "version": MANIFEST_VERSION,
             "generation": generation,
@@ -227,6 +242,9 @@ class VectorIndex:
             self._shards = shards
             self._probe_plan = None
             self._generation = generation
+            self._folding = {}
+            if drop_pending:
+                self._pending = {}
         self._prune_generations({s.stem for s in shards if s is not None})
 
     def _prune_generations(self, live_stems: set[str]) -> None:
@@ -283,16 +301,13 @@ class VectorIndex:
                 if not rows:
                     shards.append(None)
                     continue
-                stem = shard_stem(generation, shard_id)
-                write_shard(self.directory, stem,
-                            [names[r] for r in rows], matrix[rows],
-                            self._nlist_for(len(rows)),
-                            seed=self.seed + shard_id)
-                shards.append(read_shard(self.directory, stem))
+                shards.append(write_shard(
+                    self.directory, shard_stem(generation, shard_id),
+                    [names[r] for r in rows], matrix[rows],
+                    self._nlist_for(len(rows)), seed=self.seed + shard_id))
             with self._lock:
-                self._pending.clear()
                 self._counters["builds"] += 1
-            self._commit(shards, generation)
+            self._commit(shards, generation, drop_pending=True)
         return len(names)
 
     def add(self, vectors: dict[str, np.ndarray]) -> None:
@@ -318,40 +333,61 @@ class VectorIndex:
 
         Only the shards a buffered name hashes into are rewritten (new
         generation files for those shards; untouched shards keep their
-        current files).  The manifest swap is the commit point, exactly
-        as in :meth:`build`.
+        current files), each re-clustered warm from its committed
+        centroids.  The manifest swap is the commit point, exactly as in
+        :meth:`build`; until it lands the folded rows keep answering
+        from memory.
         """
         with self._rebuild_lock:
             with self._lock:
-                pending = dict(self._pending)
+                pending = self._folding = self._pending
                 self._pending = {}
                 current = list(self._shards)
             if not pending:
                 return 0
-            per_shard: dict[int, dict[str, np.ndarray]] = {}
-            for name, vector in pending.items():
-                shard_id = shard_for_name(name, self.num_shards)
-                per_shard.setdefault(shard_id, {})[name] = vector
             generation = self._generation + 1
-            shards: list[ShardData | None] = list(current)
-            for shard_id, fresh in per_shard.items():
-                merged: dict[str, np.ndarray] = {}
-                existing = current[shard_id]
-                if existing is not None:
-                    for row, name in enumerate(existing.names):
-                        merged[name] = np.asarray(existing.vectors[row])
-                merged.update(fresh)             # newest write wins
-                stem = shard_stem(generation, shard_id)
-                names = list(merged)
-                write_shard(self.directory, stem, names,
-                            np.stack([merged[n] for n in names]),
-                            self._nlist_for(len(names)),
-                            seed=self.seed + shard_id)
-                shards[shard_id] = read_shard(self.directory, stem)
-            with self._lock:
-                self._counters["flushes"] += 1
-            self._commit(shards, generation)
+            try:
+                shards = self._fold(pending, current, generation)
+                self._commit(shards, generation)
+                with self._lock:
+                    self._counters["flushes"] += 1
+            except BaseException:
+                # Nothing was published: hand the rows back to the buffer
+                # (behind any newer same-name add made meanwhile).
+                with self._lock:
+                    self._pending = {**self._folding, **self._pending}
+                    self._folding = {}
+                raise
         return len(pending)
+
+    def _fold(self, pending: dict[str, np.ndarray],
+              current: list[ShardData | None],
+              generation: int) -> list[ShardData | None]:
+        """Write generation ``generation`` of every shard ``pending`` hits."""
+        per_shard: dict[int, list[str]] = {}
+        for name in pending:
+            shard_id = shard_for_name(name, self.num_shards)
+            per_shard.setdefault(shard_id, []).append(name)
+        shards = list(current)
+        for shard_id, fresh in per_shard.items():
+            names = fresh
+            matrix = np.stack([pending[n] for n in fresh])
+            existing = current[shard_id]
+            init = None
+            if existing is not None:
+                # Keep every committed row without a newer write.
+                keep = np.ones(len(existing), dtype=bool)
+                keep[[existing.name_rows[n] for n in fresh
+                      if n in existing.name_rows]] = False
+                names = list(itertools.compress(existing.names,
+                                                keep.tolist())) + fresh
+                matrix = np.concatenate([existing.vectors[keep], matrix])
+                init = existing.centroids
+            shards[shard_id] = write_shard(
+                self.directory, shard_stem(generation, shard_id), names,
+                matrix, self._nlist_for(len(names)),
+                seed=self.seed + shard_id, init=init)
+        return shards
 
     # ------------------------------------------------------------------
     # Queries
@@ -384,9 +420,9 @@ class VectorIndex:
             plan = self._probe_plan
             if plan is None and live:
                 plan = self._probe_plan = _ProbePlan(live)
-            pending_names = list(self._pending)
-            pending_matrix = (np.stack([self._pending[n]
-                                        for n in pending_names])
+            buffered = self._buffered()
+            pending_names = list(buffered)
+            pending_matrix = (np.stack([buffered[n] for n in pending_names])
                               if pending_names else None)
             pending_set = set(pending_names)
         # Stage 1 is batched across the whole query matrix: one matmul
@@ -532,15 +568,30 @@ class VectorIndex:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def _buffered(self) -> dict[str, np.ndarray]:
+        """Every in-memory row (caller holds the lock): the add buffer
+        over the snapshot an in-progress fold has not yet committed."""
+        if not self._folding:
+            return self._pending
+        return {**self._folding, **self._pending}
+
+    def pending_count(self) -> int:
+        """Rows added and not yet folded; O(1), no lock needed."""
+        return len(self._pending)
+
     def __len__(self) -> int:
         with self._lock:
-            on_disk = {n for s in self._shards if s is not None
-                       for n in s.names}
-            return len(on_disk | set(self._pending))
+            shards = self._shards
+            count = sum(len(s) for s in shards if s is not None)
+            for name in self._buffered():
+                shard = shards[shard_for_name(name, self.num_shards)]
+                if shard is None or name not in shard.name_rows:
+                    count += 1
+            return count
 
     def __contains__(self, name: str) -> bool:
         with self._lock:
-            if name in self._pending:
+            if name in self._pending or name in self._folding:
                 return True
             shard = self._shards[shard_for_name(name, self.num_shards)]
             return shard is not None and name in shard.name_rows
@@ -549,6 +600,8 @@ class VectorIndex:
         """The stored (normalised) vector for ``name``, or ``None``."""
         with self._lock:
             vector = self._pending.get(name)
+            if vector is None:
+                vector = self._folding.get(name)
             if vector is not None:
                 return np.array(vector)
             shard = self._shards[shard_for_name(name, self.num_shards)]

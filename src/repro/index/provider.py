@@ -70,7 +70,7 @@ class IndexedEmbeddingProvider(EmbeddingProvider):
         if fresh:
             self.index.add(fresh)
             if (self.auto_flush
-                    and self.index.stats()["pending"] >= self.auto_flush):
+                    and self.index.pending_count() >= self.auto_flush):
                 self.index.flush()
         return vectors
 

@@ -63,7 +63,7 @@ class ShardData:
     name_rows: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.name_rows = {name: row for row, name in enumerate(self.names)}
+        self.name_rows = dict(zip(self.names, range(len(self.names))))
         # Re-view the memmap as a plain ndarray sharing the same pages:
         # ndarray.__getitem__ on the subclass pays ~µs of bookkeeping per
         # slice, which dominates probe-sized reads on the query hot path.
@@ -77,39 +77,57 @@ class ShardData:
         return int(self.offsets[cell]), int(self.offsets[cell + 1])
 
 
+def _float32_rows_json(matrix: np.ndarray) -> str:
+    """A float32 matrix as a JSON list of rows, 9 significant digits each.
+
+    Nine digits round-trip every float32 exactly, and one C-level
+    ``%`` format per row costs about half of ``json.dumps`` on the
+    float64 repr of every value.
+    """
+    row = "[" + ", ".join(["%.9g"] * matrix.shape[1]) + "]"
+    return "[" + ", ".join(row % tuple(r) for r in matrix.tolist()) + "]"
+
+
 def write_shard(directory: str | Path, stem: str, names: list[str],
-                vectors: np.ndarray, nlist: int, seed: int = 0) -> dict:
-    """Cluster, lay out, and durably write one shard; returns its manifest
-    entry (``{"stem", "count", "clusters"}``).
+                vectors: np.ndarray, nlist: int, seed: int = 0,
+                init: np.ndarray | None = None) -> ShardData:
+    """Cluster, lay out, and durably write one shard; returns it loaded
+    (vectors memory-mapped from the written file, as :func:`read_shard`
+    would, without re-parsing the sidecar just written).
 
     ``vectors`` must be L2-normalised float32 rows aligned with ``names``.
-    Rows are regrouped cluster-contiguously before writing so a probed
-    cluster is one contiguous (page-friendly) mmap slice.
+    ``init`` (the shard's committed centroids, if any) warm-starts the
+    clustering.  Rows are regrouped cluster-contiguously before writing
+    so a probed cluster is one contiguous (page-friendly) mmap slice.
     """
     directory = Path(directory)
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
     if vectors.ndim != 2 or vectors.shape[0] != len(names):
         raise ValueError(f"shard {stem}: vectors must be one row per name "
                          f"(got {vectors.shape} for {len(names)} names)")
-    centroids, assignments = coarse_cluster(vectors, nlist, seed=seed)
+    centroids, assignments = coarse_cluster(vectors, nlist, seed=seed,
+                                             init=init)
     order = np.argsort(assignments, kind="stable")
     vectors = vectors[order]
-    names = [names[i] for i in order]
+    names = [names[i] for i in order.tolist()]
     counts = np.bincount(assignments, minlength=centroids.shape[0])
     offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
     buffer = io.BytesIO()
     np.save(buffer, vectors)
     atomic_write_bytes(directory / f"{stem}.npy", buffer.getvalue())
-    meta = {
-        "names": names,
-        "centroids": [[float(x) for x in row] for row in centroids],
-        "offsets": [int(x) for x in offsets],
-    }
-    atomic_write_text(directory / f"{stem}.meta.json",
-                      json.dumps(meta, ensure_ascii=False))
-    return {"stem": stem, "count": len(names),
-            "clusters": int(centroids.shape[0])}
+    # Same JSON object as ``json.dumps({"names", "centroids", "offsets"})``,
+    # assembled by hand so the centroids take the cheaper float32 text;
+    # names go through json's fastest (ASCII-escaping) encoder.
+    atomic_write_text(
+        directory / f"{stem}.meta.json",
+        f'{{"names": {json.dumps(names)}, '
+        f'"centroids": {_float32_rows_json(centroids)}, '
+        f'"offsets": {json.dumps(offsets.tolist())}}}')
+    return ShardData(vectors=np.load(directory / f"{stem}.npy",
+                                     mmap_mode="r"),
+                     names=names, centroids=centroids, offsets=offsets,
+                     stem=stem)
 
 
 def read_shard(directory: str | Path, stem: str) -> ShardData:

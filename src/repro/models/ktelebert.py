@@ -22,6 +22,7 @@ import numpy as np
 from repro.models.bert import BertConfig, BertForMaskedLM
 from repro.models.ke import KnowledgeEmbeddingObjective
 from repro.models.telebert import TeleBertTrainer
+from repro.nn.module import inference_mode
 from repro.numeric.anenc import AdaptiveNumericEncoder
 from repro.numeric.heads import NumericDecoder, TagClassifier
 from repro.numeric.losses import NumericLossComputer, NumericLossOutput
@@ -115,7 +116,7 @@ class KTeleBert:
             use_contrastive=config.use_contrastive)
         self.ke_objective = KnowledgeEmbeddingObjective(gamma=config.ke_gamma)
         self._num_token_id = tokenizer.vocab.token_to_id(NUM)
-        self.last_batch_tokens = 0  # set by _prepare; journal throughput
+        self.last_batch_tokens = 0  # set by masked_lm_loss; journal throughput
 
     # ------------------------------------------------------------------
     # Construction from stage 1
@@ -194,9 +195,6 @@ class KTeleBert:
         """Tokenize rows; locate ``[NUM]`` slots for numeric rows."""
         texts = [r.text for r in rows]
         ids, mask, tokens = self.tokenizer.encode_batch_with_tokens(texts)
-        # Cheap throughput accounting for the training runtime's journal;
-        # counting here avoids a second tokenization pass per step.
-        self.last_batch_tokens = int(mask.sum())
         numeric_rows: list[int] = []
         numeric_positions: list[tuple[int, int]] = []
         values: list[float] = []
@@ -239,6 +237,9 @@ class KTeleBert:
                        ) -> tuple[Tensor, NumericLossOutput | None]:
         """`L_mask` (+ `L_num` when numeric rows are present and ANEnc is on)."""
         prep = self._prepare(rows)
+        # Cheap throughput accounting for the training runtime's journal;
+        # counting here avoids a second tokenization pass per step.
+        self.last_batch_tokens = int(prep["mask"].sum())
         masked = masker.mask_batch(prep["ids"], prep["mask"],
                                    tokens=prep["tokens"],
                                    excluded_positions=prep["excluded"])
@@ -290,15 +291,19 @@ class KTeleBert:
     # Service delivery (Sec. V-A3)
     # ------------------------------------------------------------------
     def encode(self, rows: list) -> np.ndarray:
-        """Deterministic service embeddings ([CLS] outputs) for mixed rows."""
-        self.eval()
+        """Deterministic service embeddings ([CLS] outputs) for mixed rows.
+
+        Runs dropout-free under a thread-local :func:`inference_mode`
+        rather than toggling the shared modules' train/eval flags, so
+        concurrent encodes (and a concurrent training step) never see
+        each other's mode, and the model's mode is left as it was.
+        """
         prep = self._prepare(rows)
-        with no_grad():
+        with no_grad(), inference_mode():
             overrides, _ = self._numeric_overrides(prep)
             out = self.mlm_model.bert.cls_embeddings(
                 prep["ids"], prep["mask"],
                 embedding_overrides=overrides).data.copy()
-        self.train()
         return out
 
     def encode_texts(self, texts: list[str]) -> np.ndarray:

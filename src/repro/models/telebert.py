@@ -119,17 +119,20 @@ class TeleBertTrainer:
 
     # ------------------------------------------------------------------
     def encode_sentences(self, sentences: list[str]) -> np.ndarray:
-        """Service embeddings: deterministic [CLS] vectors for raw sentences."""
+        """Service embeddings: deterministic [CLS] vectors for raw sentences.
+
+        Dropout-free via the thread-local :func:`inference_mode`; the
+        shared modules' train/eval flags are never touched.
+        """
+        from repro.nn.module import inference_mode
         from repro.tensor import no_grad
-        self.pretrainer.eval()
         ids, mask = self.tokenizer.encode_batch(sentences)
         # Stage 2 may have grown the shared vocabulary after this encoder was
         # trained; map tokens it never saw to [UNK].
         table_size = self.encoder.token_embedding.num_embeddings
         ids = np.where(ids < table_size, ids, self.tokenizer.vocab.unk_id)
-        with no_grad():
+        with no_grad(), inference_mode():
             out = self.encoder.cls_embeddings(ids, mask).data.copy()
-        self.pretrainer.train()
         return out
 
 

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.index import (
     synthetic_queries,
     synthetic_world,
 )
+from repro.index.ivf import DEFAULT_ITERATIONS, _seed_centroids
 from repro.serving import EmbeddingStore, PersistentProvider
 from repro.service import RandomProvider
 
@@ -39,6 +41,42 @@ from repro.service import RandomProvider
 def _world(count=2000, dim=16, seed=0):
     names, vectors = synthetic_world(count, dim, seed=seed)
     return names, vectors, dict(zip(names, vectors))
+
+
+def _unit(vector):
+    vector = np.asarray(vector, dtype=np.float32)
+    return vector / np.linalg.norm(vector)
+
+
+def _recall(index, vectors, names, queries, k=10):
+    oracle = exact_topk(vectors, names, queries, k)
+    answers = index.query(queries, k=k)
+    overlap = sum(sum(1 for n, _ in want if n in {m for m, _ in got})
+                  for got, want in zip(answers, oracle))
+    return overlap / (len(queries) * k)
+
+
+def _per_cell_lloyd(vectors, nlist, seed, iterations=DEFAULT_ITERATIONS):
+    """Oracle: the Lloyd loop as one masked gather + mean per cell.
+
+    Returns ``(centroids, assignments, emptied)``; ``emptied`` says
+    whether any iteration left a cell empty (the oracle then keeps the
+    stale centroid, so comparisons only hold when it is False).
+    """
+    rng = np.random.default_rng(seed)
+    centroids = _seed_centroids(vectors, nlist, rng)
+    emptied = False
+    for _ in range(iterations):
+        assignments = np.argmax(vectors @ centroids.T, axis=1)
+        for cell in range(nlist):
+            members = vectors[assignments == cell]
+            if len(members):
+                centroids[cell] = members.mean(axis=0)
+            else:
+                emptied = True
+        norms = np.linalg.norm(centroids, axis=1, keepdims=True)
+        centroids = (centroids / np.maximum(norms, 1e-12)).astype(np.float32)
+    return centroids, np.argmax(vectors @ centroids.T, axis=1), emptied
 
 
 # ----------------------------------------------------------------------
@@ -61,6 +99,47 @@ class TestPrimitives:
         np.testing.assert_allclose(c1, c2)
         assert a1.shape == (300,)
         assert set(np.unique(a1)) <= set(range(16))
+
+    def test_vectorised_lloyd_matches_per_cell_oracle(self):
+        _, vectors, _ = _world(1500, 16)
+        want_c, want_a, emptied = _per_cell_lloyd(vectors, 24, seed=5)
+        assert not emptied
+        got_c, got_a = coarse_cluster(vectors, 24, seed=5)
+        np.testing.assert_array_equal(got_a, want_a)
+        np.testing.assert_allclose(got_c, want_c, atol=1e-6)
+
+    def test_empty_cells_reseed_onto_distinct_rows(self):
+        # Rows live in the positive orthant; the last four warm-start
+        # centroids point into the negative one, so the first assignment
+        # leaves all four empty at once.
+        rng = np.random.default_rng(0)
+        vectors = np.abs(rng.standard_normal((200, 8))).astype(np.float32)
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        dead = -np.abs(rng.standard_normal((4, 8)))
+        init = np.concatenate([vectors[:4], dead])
+        centroids, assignments = coarse_cluster(vectors, 8, init=init,
+                                                iterations=1)
+        reseeded = centroids[4:]
+        # each reseeded centroid sits on its own row ...
+        rows = [int(np.argmax(vectors @ c)) for c in reseeded]
+        assert len(set(rows)) == 4
+        np.testing.assert_allclose(reseeded, vectors[rows], atol=1e-6)
+        # ... so every cell ends populated
+        assert set(np.unique(assignments)) == set(range(8))
+        centroids, assignments = coarse_cluster(vectors, 8, init=init)
+        assert set(np.unique(assignments)) == set(range(8))
+
+    def test_warm_start_keeps_committed_cells_and_seeds_extras(self):
+        _, vectors, _ = _world(1200, 16)
+        committed, before = coarse_cluster(vectors[:1000], 16, seed=1)
+        c1, a1 = coarse_cluster(vectors, 20, seed=1, init=committed)
+        c2, a2 = coarse_cluster(vectors, 20, seed=1, init=committed)
+        assert c1.shape == (20, 16)
+        np.testing.assert_array_equal(a1, a2)
+        np.testing.assert_array_equal(c1, c2)
+        # Restarting from a converged layout is close to a fixed point.
+        _, again = coarse_cluster(vectors[:1000], 16, seed=1, init=committed)
+        assert (again == before).mean() > 0.95
 
     def test_default_nlist_monotone_and_capped(self):
         assert default_nlist(1) == 1
@@ -185,6 +264,104 @@ class TestAddFlush:
         reopened = VectorIndex(tmp_path, fingerprint="fp")
         assert "added-one" in reopened
         assert reopened.flush() == 0
+
+    def test_same_history_gives_byte_identical_files(self, tmp_path):
+        names, vectors, mapping = _world(1200, 8)
+        base = dict(zip(names[:1000], vectors[:1000]))
+        grown = dict(zip(names[1000:], vectors[1000:]))
+        grown[names[3]] = -vectors[3]                   # a replacement
+        for sub in ("a", "b"):
+            index = VectorIndex(tmp_path / sub, fingerprint="fp")
+            index.build(base)
+            index.add(grown)
+            assert index.flush() == len(grown)
+        files_a = sorted(p.name for p in (tmp_path / "a").iterdir())
+        files_b = sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert files_a == files_b and "manifest.json" in files_a
+        for name in files_a:
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
+
+    def test_fold_recall_close_to_build_recall(self, tmp_path):
+        # 512 clusters: dense enough that neither layout reaches recall 1.
+        names, vectors = synthetic_world(3000, 16, seed=0, clusters=512)
+        mapping = dict(zip(names, vectors))
+        queries = synthetic_queries(vectors, 200, seed=6)
+        built = VectorIndex(tmp_path / "built", fingerprint="fp")
+        built.build(mapping)
+        folded = VectorIndex(tmp_path / "folded", fingerprint="fp")
+        folded.build(dict(zip(names[:2000], vectors[:2000])))
+        folded.add(dict(zip(names[2000:], vectors[2000:])))
+        folded.flush()
+        assert len(folded) == 3000 and folded.pending_count() == 0
+        assert _recall(folded, vectors, names, queries) >= \
+            _recall(built, vectors, names, queries) - 0.02
+
+    def test_rows_stay_visible_while_a_fold_writes(self, tmp_path,
+                                                   monkeypatch):
+        import repro.index.index as index_mod
+
+        names, vectors, mapping = _world(300, 8)
+        index = VectorIndex(tmp_path, fingerprint="fp")
+        index.build(mapping)
+        rng = np.random.default_rng(7)
+        folded, newer = rng.standard_normal((2, 8))
+        index.add({"folded-entity": folded})
+        writing, release = threading.Event(), threading.Event()
+        real_write = index_mod.write_shard
+
+        def slow_write(*args, **kwargs):
+            writing.set()
+            release.wait(10)
+            return real_write(*args, **kwargs)
+
+        monkeypatch.setattr(index_mod, "write_shard", slow_write)
+        worker = threading.Thread(target=index.flush)
+        worker.start()
+        try:
+            assert writing.wait(10)
+            assert "folded-entity" in index
+            np.testing.assert_allclose(index.get("folded-entity"),
+                                       _unit(folded), atol=1e-6)
+            [hits] = index.query(folded, k=1)
+            assert hits[0][0] == "folded-entity"
+            assert len(index) == 301
+            index.add({"folded-entity": newer})      # newer, mid-fold
+            assert index.pending_count() == 1
+        finally:
+            release.set()
+            worker.join(10)
+        assert not worker.is_alive()
+        # The committed shard holds the folded vector, but the newer add
+        # still shadows it.
+        assert index.pending_count() == 1 and len(index) == 301
+        np.testing.assert_allclose(index.get("folded-entity"),
+                                   _unit(newer), atol=1e-6)
+        [hits] = index.query(newer, k=1)
+        assert hits[0] == ("folded-entity", pytest.approx(1.0, abs=1e-5))
+        monkeypatch.setattr(index_mod, "write_shard", real_write)
+        assert index.flush() == 1
+        np.testing.assert_allclose(index.get("folded-entity"),
+                                   _unit(newer), atol=1e-6)
+
+    def test_failed_fold_returns_rows_to_the_buffer(self, tmp_path,
+                                                    monkeypatch):
+        import repro.index.index as index_mod
+
+        _, vectors, mapping = _world(100, 8)
+        index = VectorIndex(tmp_path, fingerprint="fp")
+        index.build(mapping)
+        index.add({"kept": vectors[0] + 0.1})
+
+        def failing_write(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(index_mod, "write_shard", failing_write)
+        with pytest.raises(OSError):
+            index.flush()
+        assert "kept" in index and index.pending_count() == 1
+        monkeypatch.undo()
+        assert index.flush() == 1 and "kept" in index
 
     def test_add_then_build_drops_pending(self, tmp_path):
         _, vectors, mapping = _world(60, 8)

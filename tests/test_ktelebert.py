@@ -1,5 +1,8 @@
 """End-to-end tests for KTeleBERT stage-2: data assembly, model, retraining."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -178,3 +181,84 @@ class TestSpecialTokenMining:
                                     min_frequency=5, num_merges=300)
         # NE type abbreviations should be among the mined tokens.
         assert any(t.isupper() and 2 <= len(t) <= 4 for t in mined)
+
+
+class TestEncodeConcurrency:
+    """``encode`` must not flip the shared model's train/eval mode."""
+
+    TEXTS = ["[ALM] The link is down", "[DOC] routine check completed",
+             "[ALM] NF destination service unreachable"]
+
+    def test_mode_unchanged_after_encode(self, setup):
+        model = setup[-1]
+        model.eval()
+        try:
+            reference = model.encode_texts(self.TEXTS)
+            assert not model.mlm_model.training
+        finally:
+            model.train()
+        out = model.encode_texts(self.TEXTS)
+        assert model.mlm_model.training
+        assert all(m.training for m in model.mlm_model.modules())
+        # dropout-free in either mode
+        np.testing.assert_array_equal(out, reference)
+
+    def test_encode_isolated_from_a_concurrent_encode(self, setup):
+        # One encode pauses mid-forward while another runs start to end;
+        # the paused one must still finish dropout-free.
+        model = setup[-1]
+        reference = model.encode_texts(self.TEXTS)
+        norm = model.mlm_model.bert.embedding_norm
+        original = norm.forward
+        paused, resume = threading.Event(), threading.Event()
+
+        def pausing_forward(x):
+            out = original(x)
+            if threading.current_thread().name == "paused-encode":
+                paused.set()
+                resume.wait(10)
+            return out
+
+        result = {}
+        worker = threading.Thread(
+            name="paused-encode",
+            target=lambda: result.update(out=model.encode_texts(self.TEXTS)))
+        norm.forward = pausing_forward
+        try:
+            worker.start()
+            assert paused.wait(10)
+            model.encode_texts(["[DOC] another request's batch"])
+        finally:
+            resume.set()
+            worker.join(10)
+            del norm.forward
+        np.testing.assert_array_equal(result["out"], reference)
+
+    def test_threads_match_serial_bit_for_bit(self, setup):
+        model = setup[-1]
+        batches = [self.TEXTS[i:] + self.TEXTS[:i] for i in range(3)]
+        serial = [model.encode_texts(b) for b in batches]
+        threads, per_thread = 4, 8
+        results = [[None] * per_thread for _ in range(threads)]
+
+        def run(slot):
+            for j in range(per_thread):
+                results[slot][j] = model.encode_texts(
+                    batches[(slot + j) % len(batches)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)      # surface interleavings
+        try:
+            workers = [threading.Thread(target=run, args=(i,))
+                       for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        for slot in range(threads):
+            for j in range(per_thread):
+                np.testing.assert_array_equal(
+                    results[slot][j], serial[(slot + j) % len(batches)])
+        assert model.mlm_model.training
