@@ -40,6 +40,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -252,7 +253,7 @@ def _build_service(args: argparse.Namespace, adapters: dict | None = None):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serving import serve_loop
+    from repro.netserve.protocol import serve_loop
 
     with _build_service(args) as service:
         metrics = service.metrics
@@ -504,22 +505,29 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import lint_main
+#: Commands forwarded verbatim to ``repro.<command>.<command>_main``, a
+#: driver owning its own subcommands and --help: command -> (help,
+#: forwarded-arguments help).  ``main`` bypasses the parser for them
+#: because argparse.REMAINDER refuses option-like leading arguments.
+_PASSTHROUGH = {
+    "lint": ("repo-aware static analysis over src/repro (repro.lint)",
+             "forwarded to the lint driver — e.g. --baseline "
+             "tools/lint_baseline.json, --format json, --list-rules"),
+    "bench": ("benchmark platform: regression gate, trend reports, "
+              "baseline promotion (repro.bench)",
+              "forwarded to the bench driver — check | report | promote | "
+              "list, e.g. 'check --names train_step'"),
+    "index": ("sharded mmap ANN retrieval tier: build | query | stats "
+              "(repro.index)",
+              "forwarded to the index driver — build | query | stats, e.g. "
+              "'build --dir idx --synthetic 10000'"),
+}
 
-    return lint_main(args.lint_args)
 
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import bench_main
-
-    return bench_main(args.bench_args)
-
-
-def _cmd_index(args: argparse.Namespace) -> int:
-    from repro.index import index_main
-
-    return index_main(args.index_args)
+def _forward(command: str, argv: list[str]) -> int:
+    """Run the driver of passthrough ``command`` on ``argv``."""
+    module = importlib.import_module(f"repro.{command}")
+    return getattr(module, f"{command}_main")(argv)
 
 
 def _add_serve_args(parser: argparse.ArgumentParser) -> None:
@@ -739,56 +747,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="save a serving checkpoint here on completion")
     train.set_defaults(func=_cmd_train)
 
-    lint = sub.add_parser(
-        "lint",
-        help="repo-aware static analysis over src/repro (repro.lint)")
-    lint.add_argument("lint_args", nargs=argparse.REMAINDER,
-                      help="forwarded to the lint driver — e.g. "
-                           "--baseline tools/lint_baseline.json, "
-                           "--format json, --list-rules")
-    lint.set_defaults(func=_cmd_lint)
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark platform: regression gate, trend reports, "
-             "baseline promotion (repro.bench)")
-    bench.add_argument("bench_args", nargs=argparse.REMAINDER,
-                       help="forwarded to the bench driver — "
-                            "check | report | promote | list, e.g. "
-                            "'check --names train_step'")
-    bench.set_defaults(func=_cmd_bench)
-
-    index = sub.add_parser(
-        "index",
-        help="sharded mmap ANN retrieval tier: build | query | stats "
-             "(repro.index)")
-    index.add_argument("index_args", nargs=argparse.REMAINDER,
-                       help="forwarded to the index driver — "
-                            "build | query | stats, e.g. "
-                            "'build --dir idx --synthetic 10000'")
-    index.set_defaults(func=_cmd_index)
+    for command, (help_text, args_help) in _PASSTHROUGH.items():
+        passthrough = sub.add_parser(command, help=help_text)
+        passthrough.add_argument("forwarded", nargs=argparse.REMAINDER,
+                                 help=args_help)
+        passthrough.set_defaults(
+            func=lambda args: _forward(args.command, args.forwarded))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["lint"]:
-        # Forwarded verbatim: argparse.REMAINDER refuses option-like
-        # leading arguments, and the lint driver owns its own --help.
-        from repro.lint import lint_main
-
-        return lint_main(argv[1:])
-    if argv[:1] == ["bench"]:
-        # Same passthrough discipline as lint: the bench driver owns its
-        # own subcommands and --help.
-        from repro.bench import bench_main
-
-        return bench_main(argv[1:])
-    if argv[:1] == ["index"]:
-        from repro.index import index_main
-
-        return index_main(argv[1:])
+    if argv[:1] and argv[0] in _PASSTHROUGH:
+        return _forward(argv[0], argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

@@ -201,7 +201,7 @@ class LockEdge:
 class FunctionSummary:
     """Everything the flow rules need to know about one function."""
 
-    qualname: str             # e.g. "CachedProvider.encode_names"
+    qualname: str             # e.g. "PersistentProvider.encode_names"
     line: int
     params: list[str]
     deadline_params: list[str]

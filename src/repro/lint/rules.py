@@ -104,7 +104,7 @@ def check_blocking_in_lock(ctx: ModuleContext) -> list[Finding]:
     other path that needs the lock behind the slowest caller — and turns
     a hung provider into a stack-wide deadlock (the PR-4 bug class).
     Compute the blocking result outside the lock and re-acquire to
-    publish it (last-write-wins), as `CachedProvider.encode_names` does.
+    publish it (last-write-wins), as `PersistentProvider.encode_names` does.
     Waiting on the *same* condition variable the block holds is exempt:
     `Condition.wait` releases the lock while sleeping."""
     findings: list[Finding] = []

@@ -15,8 +15,6 @@ Layers (bottom-up):
   layers together, with graceful drain on SIGTERM.
 """
 
-# Import order matters: protocol first (repro.serving.server re-exports
-# from it while repro.serving may itself still be initializing).
 from repro.netserve.protocol import (
     CODE_AUTH,
     CODE_BAD_REQUEST,

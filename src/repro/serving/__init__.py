@@ -7,9 +7,10 @@ imply (Sec. V-A3) and that industrial tele-PLM systems build around:
 * :class:`MicroBatcher` — dynamic micro-batching with cross-request
   deduplication (flush on size or deadline), deadline-aware waits, and a
   flush watchdog that bounds provider calls;
-* :class:`EmbeddingStore` / :class:`PersistentProvider` — append-only
-  on-disk embedding cache keyed by checkpoint fingerprint, with an LRU
-  memory tier and versioned invalidation;
+* :class:`EmbeddingStore` / :class:`PersistentProvider` — the one
+  per-name embedding cache: a bounded LRU memory tier, plus (given a
+  directory) an append-only on-disk log keyed by checkpoint fingerprint
+  with versioned invalidation;
 * :class:`FaultAnalysisService` — one façade exposing ``embed`` plus the
   three fault-analysis calls (``rank_root_causes`` / ``propagate_alarms``
   / ``classify_fault``) with per-request deadlines, bounded retry with
@@ -21,9 +22,10 @@ imply (Sec. V-A3) and that industrial tele-PLM systems build around:
 * :class:`CancellableWorkerPool` — the façade's daemon-thread retry pool
   with hung-thread accounting and bounded replacement;
 * :class:`MetricsRegistry` — counters, gauges, latency histograms with
-  p50/p95/p99, and structured event logging;
-* :func:`serve_loop` — the stdin/stdout JSON-lines transport behind
-  ``python -m repro serve``.
+  p50/p95/p99, and structured event logging.
+
+The JSON-lines transports (``python -m repro serve`` / ``serve-net``)
+live in :mod:`repro.netserve`.
 """
 
 from repro.serving.batcher import MicroBatcher
@@ -39,11 +41,9 @@ from repro.serving.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_hit_stats,
     replay_journal,
 )
 from repro.serving.pool import CancellableWorkerPool
-from repro.serving.server import handle_request, serve_loop
 from repro.serving.service import (
     FaultAnalysisService,
     ServiceConfig,
@@ -73,8 +73,5 @@ __all__ = [
     "ProviderShapeError",
     "ServiceConfig",
     "ServingError",
-    "handle_request",
-    "merge_hit_stats",
     "replay_journal",
-    "serve_loop",
 ]

@@ -27,7 +27,7 @@ SERVING_RETRIES = "serving.retries"
 SERVING_FALLBACKS = "serving.fallbacks"
 SERVING_FIT = "serving.fit"
 
-# -- HTTP server (repro.serving.server) -------------------------------
+# -- request protocol (repro.netserve.protocol) -----------------------
 SERVING_BAD_REQUESTS = "serving.bad_requests"
 
 # -- micro-batcher (repro.serving.batcher) ----------------------------

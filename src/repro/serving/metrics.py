@@ -19,7 +19,7 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.serving import metric_names as mn
 
@@ -296,20 +296,3 @@ def replay_journal(path: str | Path,
             registry.emit(kind,
                           **{k: v for k, v in event.items() if k != "kind"})
     return registry
-
-
-def merge_hit_stats(stats: Iterable[dict]) -> dict:
-    """Combine per-tier ``{"hits": .., "misses": ..}`` dicts into one.
-
-    Used to aggregate the in-memory :class:`~repro.service.CachedProvider`
-    tier with the persistent store tier for the overall hit rate reported
-    by ``python -m repro serve --stats``.
-    """
-    hits = sum(int(s.get("hits", 0)) for s in stats)
-    misses = sum(int(s.get("misses", 0)) for s in stats)
-    total = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": hits / total if total else 0.0,
-    }

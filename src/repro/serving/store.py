@@ -1,11 +1,12 @@
-"""Persistent embedding store: append-only disk log + in-memory LRU tier.
+"""Embedding store: bounded in-memory LRU tier + optional append-only disk log.
 
-Every embedding consumer in the repo re-encodes the same target names on
-every process start (the per-process :class:`~repro.service.CachedProvider`
-memo dies with the interpreter).  :class:`EmbeddingStore` makes the cache
-survive: vectors live in an append-only JSON-lines log on disk, keyed by
-``(fingerprint, provider label, mode, name)``, with a bounded LRU dict in
-front so hot names never touch the disk twice.
+This is the serving stack's one per-name embedding cache.  Every process
+start would otherwise re-encode the same target names; with a
+``directory`` the store makes the cache survive: vectors live in an
+append-only JSON-lines log on disk, keyed by ``(fingerprint, provider
+label, mode, name)``, with a bounded LRU dict in front so hot names never
+touch the disk twice.  With ``directory=None`` the store is the LRU alone
+— bounded memory, nothing persisted.
 
 *Versioned invalidation* falls out of the key: the fingerprint component
 comes from :func:`repro.models.checkpoint.checkpoint_fingerprint` (or
@@ -50,20 +51,26 @@ class EmbeddingStore:
     mode)`` — and maps names to vectors within it.  Entries written under
     other namespaces coexist in the same log file but are invisible, which
     is what makes checkpoint-fingerprint invalidation free.
+
+    ``directory=None`` drops the disk tier: no log file, ``put_many``
+    fills only the LRU, and an evicted name is simply a miss.
     """
 
-    def __init__(self, directory: str | Path, fingerprint: str = "unversioned",
+    def __init__(self, directory: str | Path | None,
+                 fingerprint: str = "unversioned",
                  label: str = "provider", mode: str = "name",
                  lru_capacity: int = 4096):
         if lru_capacity < 1:
             raise ValueError("lru_capacity must be positive")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.directory = None if directory is None else Path(directory)
         self.fingerprint = fingerprint
         self.label = label
         self.mode = mode
         self.lru_capacity = lru_capacity
-        self.path = self.directory / _LOG_NAME
+        self.path: Path | None = None
+        if self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self.path = self.directory / _LOG_NAME
         self._lock = threading.RLock()
         self._lru: OrderedDict[str, np.ndarray] = OrderedDict()
         # name -> byte offset of its newest record in the log (this
@@ -83,7 +90,7 @@ class EmbeddingStore:
 
     def _scan(self) -> None:
         """Index the log: newest offset per name in this namespace."""
-        if not self.path.exists():
+        if self.path is None or not self.path.exists():
             return
         with open(self.path, "rb") as handle:
             offset = 0
@@ -215,22 +222,24 @@ class EmbeddingStore:
                 handle.write(b"\n")
 
     def put_many(self, vectors: dict[str, np.ndarray]) -> None:
-        """Append vectors to the log and refresh both tiers."""
+        """Append vectors to the log (when there is one); refresh the LRU."""
         if not vectors:
             return
         with self._lock:
-            self._ensure_newline_terminated()
-            with open(self.path, "ab") as handle:
-                for name, vector in vectors.items():
-                    record = {"v": self.fingerprint, "p": self.label,
-                              "m": self.mode, "n": name,
-                              "e": [float(x) for x in np.asarray(vector)]}
-                    start = handle.tell()
-                    handle.write(json.dumps(record,
-                                            ensure_ascii=False).encode())
-                    handle.write(b"\n")
-                    self._offsets[name] = start
-                    self._lru_put(name, np.asarray(vector, dtype=np.float64))
+            if self.path is not None:
+                self._ensure_newline_terminated()
+                with open(self.path, "ab") as handle:
+                    for name, vector in vectors.items():
+                        record = {"v": self.fingerprint, "p": self.label,
+                                  "m": self.mode, "n": name,
+                                  "e": [float(x) for x in np.asarray(vector)]}
+                        start = handle.tell()
+                        handle.write(json.dumps(record,
+                                                ensure_ascii=False).encode())
+                        handle.write(b"\n")
+                        self._offsets[name] = start
+            for name, vector in vectors.items():
+                self._lru_put(name, np.asarray(vector, dtype=np.float64))
 
     def __contains__(self, name: str) -> bool:
         with self._lock:
@@ -262,9 +271,12 @@ class EmbeddingStore:
         (:func:`repro.ioutil.atomic_writer`) still guarantees a crash
         mid-compaction leaves the previous complete log, never a partial
         one.  Names alive only in the LRU (their disk record was torn and
-        evicted) are re-persisted from memory rather than dropped.
+        evicted) are re-persisted from memory rather than dropped.  A
+        memory-only store has nothing to rewrite and returns its LRU size.
         """
         with self._lock:
+            if self.path is None:
+                return len(self._lru)
             disk_only = {name: offset
                          for name, offset in self._offsets.items()
                          if name not in self._lru}
@@ -328,8 +340,9 @@ class PersistentProvider(EmbeddingProvider):
 
     Drop-in for any :class:`~repro.service.providers.EmbeddingProvider`:
     names found in the store (from *any* earlier process with the same
-    fingerprint) skip the inner encoder entirely; fresh names are encoded
-    once, persisted, and served from memory afterwards.
+    fingerprint, when the store is disk-backed) skip the inner encoder
+    entirely; fresh names are encoded once, stored, and served from memory
+    afterwards.
     """
 
     def __init__(self, inner: EmbeddingProvider, store: EmbeddingStore):
@@ -337,18 +350,16 @@ class PersistentProvider(EmbeddingProvider):
         self.store = store
         self.label = inner.label
         self.dim = inner.dim
-        self._lock = threading.Lock()
 
     def encode_names(self, names: list[str]) -> np.ndarray:
-        # The lock guards only the store read and write — never the inner
-        # encode.  A slow (or hung) encoder therefore cannot serialize
-        # traffic that the disk/LRU tiers can already answer.  Two threads
-        # racing on the same missing name may both encode it; the second
-        # put_many wins and each caller returns a self-consistent matrix
-        # (duplicate names within one request always share one vector,
-        # drawn from this call's ``found`` map).
-        with self._lock:
-            found = self.store.get_many(names)
+        # Only the store read and write take the store's lock — never the
+        # inner encode.  A slow (or hung) encoder therefore cannot
+        # serialize traffic that the disk/LRU tiers can already answer.
+        # Two threads racing on the same missing name may both encode it;
+        # the second put_many wins and each caller returns a
+        # self-consistent matrix (duplicate names within one request
+        # always share one vector, drawn from this call's ``found`` map).
+        found = self.store.get_many(names)
         missing = [n for n in dict.fromkeys(names) if n not in found]
         if missing:
             vectors = np.asarray(self.inner.encode_names(missing))
@@ -360,8 +371,7 @@ class PersistentProvider(EmbeddingProvider):
                     f"{vectors.shape} for {len(missing)} names")
             fresh = {name: vector
                      for name, vector in zip(missing, vectors)}
-            with self._lock:
-                self.store.put_many(fresh)
+            self.store.put_many(fresh)
             found.update(fresh)
         return np.stack([found[n] for n in names])
 

@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro import nn
-from repro.service import CachedProvider, RandomProvider, WordEmbeddingProvider
+from repro.service import RandomProvider, WordEmbeddingProvider
+from repro.serving import EmbeddingStore, PersistentProvider
 
 
 class CountingProvider(WordEmbeddingProvider):
@@ -20,42 +21,45 @@ class CountingProvider(WordEmbeddingProvider):
         return super().encode_names(names)
 
 
+def memory_cached(inner):
+    """``inner`` behind a memory-only (no directory) embedding store."""
+    return PersistentProvider(inner, EmbeddingStore(None))
+
+
 class TestCachedProvider:
+    """The no-``store_dir`` cache: PersistentProvider, memory-only store."""
+
     def test_results_match_inner(self):
         inner = RandomProvider(dim=8, seed=0)
-        cached = CachedProvider(RandomProvider(dim=8, seed=0))
+        cached = memory_cached(RandomProvider(dim=8, seed=0))
         names = ["a", "b", "c"]
-        assert np.allclose(inner.encode_names(names),
-                           cached.encode_names(names))
+        expected = inner.encode_names(names)
+        out = cached.encode_names(names)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+        assert np.array_equal(cached.encode_names(names), expected)
 
     def test_inner_called_once_per_distinct_name(self):
         inner = CountingProvider()
-        cached = CachedProvider(inner)
+        cached = memory_cached(inner)
         cached.encode_names(["x", "y"])
         cached.encode_names(["x", "y", "x"])
         assert inner.names_encoded == 2
-        assert cached.hits == 3
-        assert cached.misses == 2
+        # The store counts one lookup per distinct name per call.
+        assert cached.stats()["hits"] == 2
+        assert cached.stats()["misses"] == 2
+        assert cached.stats()["hit_rate"] == 0.5
 
     def test_duplicates_within_one_call(self):
         inner = CountingProvider()
-        cached = CachedProvider(inner)
+        cached = memory_cached(inner)
         out = cached.encode_names(["x", "x", "x"])
         assert inner.names_encoded == 1
         assert out.shape == (3, 4)
         assert np.allclose(out[0], out[1])
 
-    def test_clear(self):
-        inner = CountingProvider()
-        cached = CachedProvider(inner)
-        cached.encode_names(["x"])
-        cached.clear()
-        assert cached.cache_size == 0
-        cached.encode_names(["x"])
-        assert inner.names_encoded == 2
-
     def test_label_and_dim_forwarded(self):
-        cached = CachedProvider(RandomProvider(dim=8, seed=0))
+        cached = memory_cached(RandomProvider(dim=8, seed=0))
         assert cached.label == "Random"
         assert cached.dim == 8
 

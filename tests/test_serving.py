@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 import threading
 import time
 
@@ -16,12 +17,11 @@ from repro.serving import (
     PersistentProvider,
     ServiceConfig,
     ServingError,
-    handle_request,
-    merge_hit_stats,
-    serve_loop,
 )
+from repro.index import VectorIndex
+from repro.netserve import handle_request, serve_loop
 from repro.serving.metrics import Histogram
-from repro.service import CachedProvider, RandomProvider
+from repro.service import RandomProvider
 
 
 class CountingProvider(RandomProvider):
@@ -135,36 +135,16 @@ class TestMetrics:
         assert len(lines) == 5
         assert json.loads(lines[0])["kind"] == "tick"
 
-    def test_merge_hit_stats(self):
-        merged = merge_hit_stats([{"hits": 3, "misses": 1},
-                                  {"hits": 1, "misses": 3}])
-        assert merged == {"hits": 4, "misses": 4, "hit_rate": 0.5}
-        assert merge_hit_stats([])["hit_rate"] == 0.0
-
 
 # ----------------------------------------------------------------------
-# CachedProvider hardening (satellite)
+# Cached provider: PersistentProvider over a memory-only store
 # ----------------------------------------------------------------------
 class TestCachedProvider:
-    def test_clear_resets_hit_rate_stats(self):
-        provider = CachedProvider(RandomProvider(dim=4, seed=0))
-        provider.encode_names(["a", "a", "b"])
-        assert provider.stats()["hits"] == 1
-        provider.clear()
-        stats = provider.stats()
-        assert stats == {"hits": 0, "misses": 0, "hit_rate": 0.0, "size": 0}
-
-    def test_stats_shape_feeds_merge(self):
-        provider = CachedProvider(RandomProvider(dim=4, seed=0))
-        provider.encode_names(["a", "b"])
-        provider.encode_names(["a", "b"])
-        stats = provider.stats()
-        assert stats["hit_rate"] == 0.5
-        assert merge_hit_stats([stats])["hits"] == 2
-
+    @pytest.mark.timeout(30)
     def test_concurrent_encodes_are_consistent(self):
         inner = CountingProvider(dim=4)
-        provider = CachedProvider(inner)
+        store = EmbeddingStore(None)
+        provider = PersistentProvider(inner, store)
         errors = []
 
         def worker():
@@ -176,17 +156,80 @@ class TestCachedProvider:
                 errors.append(error)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # force interleavings
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
         # Concurrent cold misses may duplicate work (last-write-wins, so a
         # hung encode can never block an independent caller), but once the
         # cache settles every further iteration is a pure hit: the call
         # count is bounded by the number of racing threads, not 8 * 20.
         assert 1 <= inner.calls <= 8
-        assert provider.cache_size == 2
+        assert len(store) == 2
+        settled = provider.encode_names(["x", "y"])
+        assert np.array_equal(provider.encode_names(["x", "y"]), settled)
+
+
+# ----------------------------------------------------------------------
+# Memory-only store: the bounded cache behind a service without store_dir
+# ----------------------------------------------------------------------
+class TestMemoryOnlyStore:
+    def test_no_log_file_and_compact_reports_lru(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = EmbeddingStore(None, lru_capacity=2)
+        store.put_many({f"n{i}": np.full(2, float(i)) for i in range(3)})
+        assert list(tmp_path.iterdir()) == []
+        assert store.path is None and store.directory is None
+        assert store.get("n0") is None                 # evicted, no disk
+        assert np.allclose(store.get("n2"), 2.0)
+        assert store.compact() == 2
+        assert store.stats()["disk_entries"] == 0
+
+    def test_service_cache_stats_read_from_store(self):
+        with FaultAnalysisService(RandomProvider(dim=4, seed=0),
+                                  config=_fast_config()) as service:
+            service.embed(["a", "b"])
+            service.embed(["a", "b"])
+            stats = service.stats()
+        assert stats["cache"] == {"hits": 2, "misses": 2, "hit_rate": 0.5}
+        assert stats["store"]["memory_entries"] == 2
+
+    def test_service_without_store_dir_is_bounded(self):
+        with FaultAnalysisService(
+                RandomProvider(dim=4, seed=0),
+                config=ServiceConfig(lru_capacity=8, max_wait_ms=1)
+        ) as service:
+            first = service.embed(["name-0"])
+            for i in range(500):
+                service.embed([f"name-{i}"])
+            assert service.store.stats()["memory_entries"] <= 8
+            assert "name-0" not in service.store            # evicted
+            again = service.embed(["name-0"])
+            assert again.dtype == first.dtype == np.float64
+            assert np.array_equal(again, first)
+
+    def test_service_without_store_dir_leaves_index_untouched(
+            self, tmp_path):
+        provider = RandomProvider(dim=4, seed=0)
+        index = VectorIndex(tmp_path / "idx", fingerprint="unversioned")
+        index.build({"a": provider.encode_names(["a"])[0]})
+        generation = index.stats()["generation"]
+        with FaultAnalysisService(provider, config=_fast_config(),
+                                  index=index):
+            assert index.stats()["generation"] == generation
+        empty = VectorIndex(tmp_path / "empty", fingerprint="unversioned")
+        generation = empty.stats()["generation"]
+        with FaultAnalysisService(provider, config=_fast_config(),
+                                  index=empty):
+            assert empty.stats()["generation"] == generation
 
 
 # ----------------------------------------------------------------------

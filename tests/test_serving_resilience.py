@@ -602,7 +602,8 @@ class TestStoreDurability:
 # ----------------------------------------------------------------------
 class TestPersistentProviderConcurrency:
     @pytest.mark.timeout(30)
-    def test_warm_reads_bypass_a_slow_encode(self, tmp_path):
+    @pytest.mark.parametrize("disk", [True, False], ids=["disk", "memory"])
+    def test_warm_reads_bypass_a_slow_encode(self, tmp_path, disk):
         class SlowProvider(RandomProvider):
             label = "Slow"
 
@@ -617,7 +618,8 @@ class TestPersistentProviderConcurrency:
                 return super().encode_names(names)
 
         slow = SlowProvider()
-        store = EmbeddingStore(tmp_path, fingerprint="f1", label="Slow")
+        store = EmbeddingStore(tmp_path if disk else None,
+                               fingerprint="f1", label="Slow")
         store.put_many({"hot": np.ones(4)})
         provider = PersistentProvider(slow, store)
 
