@@ -4,8 +4,8 @@ PYTHON ?= python
 
 .PHONY: install test test-fast test-slow lint lint-repro lint-graph bench \
 	bench-quick bench-check bench-report bench-promote gradcheck \
-	reproduce report api serve-smoke serve-net-smoke index-smoke \
-	train-smoke clean
+	reproduce report api serve-smoke serve-checkpoint-smoke serve-net-smoke \
+	index-smoke train-smoke clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -96,6 +96,14 @@ serve-smoke:
 	  '{"op": "stats"}' \
 	  | $(PYTHON) -m repro serve --stats --max-wait-ms 2 \
 	  | $(PYTHON) tools/check_serve_smoke.py
+
+# Serve a real checkpoint: pretrain a tiny KTeleBERT (3 + 3 steps), pipe
+# a multi-name and single-name embeds through `serve --checkpoint`, and
+# check every served vector equals `repro encode`'s within 2e-6 (see
+# tools/run_serve_checkpoint_smoke.py).  Bounded by timeout so a wedged
+# server fails the step instead of stalling CI.
+serve-checkpoint-smoke:
+	timeout 300 $(PYTHON) tools/run_serve_checkpoint_smoke.py
 
 # Boot the TCP frontend as a real subprocess, drive a short open-loop
 # mix over the tenant quota with the load generator, and SIGTERM it:

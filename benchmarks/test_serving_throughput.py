@@ -10,6 +10,14 @@ forward pass — the regime micro-batching exists for):
 * ``persistent warm``  — a fresh provider instance over the populated
   store (zero forward passes expected).
 
+``test_encode_session_vs_tape`` is a same-process A/B of the real
+encoder on a seeded tiny KTeleBERT (the serve geometry: d_model 32,
+2 layers, 2 heads) at batch 8, 16 and 32: names/sec of the tape-free
+``cls_forward`` against the eval-mode autograd forward the model still
+trains with, on the same token ids (the gated speedup), and of the whole
+``KTeleBert.encode`` against tokenization plus the tape forward (tracked:
+tokenization is shared by both sides and dilutes the ratio).
+
 Writes ``benchmarks/results/serving_throughput.txt`` (the rendered view)
 and ``benchmarks/results/BENCH_serving_throughput.json`` (the structured
 source of truth, via the shared :mod:`repro.bench` emitter).
@@ -24,12 +32,24 @@ import numpy as np
 from conftest import save_and_print
 
 from repro.bench import BENCH_SERVING_THROUGHPUT
+from repro.corpus import build_tele_corpus
+from repro.kg import build_tele_kg
+from repro.models import KTeleBert, KTeleBertConfig, TeleBertTrainer, TextRow
+from repro.models.inference import cls_forward
 from repro.service import RandomProvider
 from repro.serving import EmbeddingStore, MicroBatcher, PersistentProvider
+from repro.tensor import no_grad
+from repro.training.stage2 import build_stage2_data
+from repro.world import TelecomWorld
 
 NUM_NAMES = 96
 CALL_OVERHEAD_S = 0.002          # fixed per-forward-pass cost
 PER_NAME_S = 0.00005             # marginal per-name cost
+
+
+ENCODE_BATCHES = (8, 16, 32)
+ENCODE_REPS = 60                 # interleaved reps; the best one counts
+ENCODE_CALLS = 5                 # encodes per timed rep
 
 
 class OverheadProvider(RandomProvider):
@@ -136,3 +156,96 @@ def test_serving_throughput(results_dir, record_bench, benchmark,
     # A warm persistent store performs zero forward passes.
     assert rows["persistent warm"][1] == 0
     assert rows["persistent cold"][1] >= 1
+
+
+def _tiny_ktelebert(seed: int = 41) -> tuple[KTeleBert, list[str]]:
+    """A seeded KTeleBERT at the serve geometry, plus alarm/KPI names."""
+    world = TelecomWorld.generate(seed=seed, alarms_per_theme=2,
+                                  kpis_per_theme=2, topology_nodes=6)
+    corpus = build_tele_corpus(world, seed=seed)
+    kg = build_tele_kg(world)
+    trainer = TeleBertTrainer(corpus.sentences, seed=seed, d_model=32,
+                              num_layers=2, num_heads=2, d_ff=64, max_len=32)
+    trainer.train(steps=2)
+    data = build_stage2_data(corpus, world.simulate_episodes(3), kg,
+                             seed=seed, ke_negatives=2)
+    model = KTeleBert.from_telebert(
+        trainer, KTeleBertConfig(anenc_layers=1, anenc_meta=2, lora_rank=2),
+        tag_names=data.tag_names, normalizer=data.normalizer,
+        extra_vocabulary=data.vocabulary(), seed=seed)
+    names = [a.name for a in world.ontology.alarms] + \
+        [k.name for k in world.ontology.kpis]
+    return model, names
+
+
+def _tape_forward(model: KTeleBert, prep: dict) -> np.ndarray:
+    """The eval-mode autograd forward the model still trains with."""
+    with no_grad():
+        return model.mlm_model.bert.cls_embeddings(
+            prep["ids"], prep["mask"]).data
+
+
+def _best_seconds(calls: dict) -> dict:
+    """Best per-call time of each variant over interleaved reps."""
+    best = {label: float("inf") for label in calls}
+    for _ in range(ENCODE_REPS):
+        for label, call in calls.items():
+            start = time.perf_counter()
+            for _ in range(ENCODE_CALLS):
+                call()
+            best[label] = min(best[label],
+                              (time.perf_counter() - start) / ENCODE_CALLS)
+    return best
+
+
+def test_encode_session_vs_tape(results_dir, record_bench, benchmark):
+    model, names = _tiny_ktelebert()
+    model.eval()  # the tape reference must run dropout-free
+    bert = model.mlm_model.bert
+
+    def measure():
+        rates = {}
+        for batch in ENCODE_BATCHES:
+            rows = [TextRow(f"{names[i % len(names)]} on ne-{i}")
+                    for i in range(batch)]
+            prep = model._prepare(rows)
+            np.testing.assert_allclose(model.encode(rows),
+                                       _tape_forward(model, prep),
+                                       rtol=0, atol=1e-12)
+            best = _best_seconds({
+                "session": lambda: cls_forward(bert, prep["ids"],
+                                               prep["mask"]),
+                "tape": lambda: _tape_forward(model, prep),
+                "encode": lambda: model.encode(rows),
+                "encode_tape": lambda: _tape_forward(
+                    model, model._prepare(rows))})
+            rates[batch] = {label: batch / seconds
+                            for label, seconds in best.items()}
+        return rates
+
+    rates = benchmark.pedantic(measure, rounds=1, iterations=1)
+
+    lines = ["Encoder A/B — tape-free cls_forward vs the eval-mode tape "
+             "forward (d_model 32, 2 layers)",
+             f"best of {ENCODE_REPS} interleaved reps x {ENCODE_CALLS} calls; "
+             "'encode' adds tokenization (_prepare) to both sides",
+             f"{'batch':>5} {'session names/s':>16} {'tape names/s':>13} "
+             f"{'speedup':>8} {'encode speedup':>15}"]
+    for batch, rate in rates.items():
+        lines.append(f"{batch:>5} {rate['session']:>16.0f} "
+                     f"{rate['tape']:>13.0f} "
+                     f"{rate['session'] / rate['tape']:>7.2f}x "
+                     f"{rate['encode'] / rate['encode_tape']:>14.2f}x")
+    save_and_print(results_dir, "encode_session.txt", "\n".join(lines))
+
+    at_32 = rates[32]
+    record_bench(BENCH_SERVING_THROUGHPUT, {
+        "encode_session_names_per_s": at_32["session"],
+        "encode_tape_names_per_s": at_32["tape"],
+        "encode_session_speedup_x": at_32["session"] / at_32["tape"],
+        "encode_tokenized_speedup_x": at_32["encode"] / at_32["encode_tape"],
+    }, config={"encode_batch": 32, "encode_reps": ENCODE_REPS,
+               "encode_calls": ENCODE_CALLS})
+
+    # ROADMAP item 1's bar: at least 2x real-encoder names/sec at batch 32.
+    assert at_32["session"] >= 2.0 * at_32["tape"]

@@ -192,7 +192,7 @@ REGISTRY: dict[str, BenchSpec] = {
         BenchSpec(
             BENCH_SERVING_THROUGHPUT,
             title="Serving stack: batching on/off, persistent cache "
-                  "cold/warm",
+                  "cold/warm, serve forward vs tape forward",
             source="benchmarks/test_serving_throughput.py",
             metrics=(
                 _rate("unbatched_names_per_sec"),
@@ -206,6 +206,13 @@ REGISTRY: dict[str, BenchSpec] = {
                 # Invariant: a warm persistent store does zero forward
                 # passes.
                 _count("warm_fwd_passes", abs_tolerance=0.0),
+                # Real encoder at batch 32: tape-free serve forward vs
+                # the eval-mode autograd forward, same process; the
+                # tokenized ratio adds the shared tokenization to both.
+                _rate("encode_session_names_per_s"),
+                _rate("encode_tape_names_per_s"),
+                _speedup("encode_session_speedup_x"),
+                _speedup("encode_tokenized_speedup_x", tolerance=None),
             )),
         BenchSpec(
             BENCH_SERVING_DEGRADATION,

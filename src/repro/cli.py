@@ -40,8 +40,10 @@ Commands
 from __future__ import annotations
 
 import argparse
+import ctypes
 import importlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -252,9 +254,50 @@ def _build_service(args: argparse.Namespace, adapters: dict | None = None):
                                 **(adapters or {}))
 
 
+def _bundled_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled scipy-openblas, if its thread setter is exported.
+
+    Loading the library numpy already loaded returns that same instance.
+    """
+    import numpy
+
+    libs = Path(numpy.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            library = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        if hasattr(library, "scipy_openblas_set_num_threads64_"):
+            return library
+    return None
+
+
+def _pin_blas_to_one_thread() -> bool:
+    """Run the serving process's BLAS on one thread; True if it was set.
+
+    The server already runs requests in parallel, and an idle OpenBLAS
+    worker spins beside every matmul, taking CPU the request threads
+    need.  A no-op when ``OPENBLAS_NUM_THREADS`` is set (the operator
+    chose) or numpy bundles no scipy-openblas.  Called from the serve
+    entry points only, never at import, so library users keep their
+    BLAS settings.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return False
+    library = _bundled_openblas()
+    if library is None:
+        return False
+    setter = library.scipy_openblas_set_num_threads64_
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(1)
+    return True
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.netserve.protocol import serve_loop
 
+    _pin_blas_to_one_thread()
     with _build_service(args) as service:
         metrics = service.metrics
         serve_loop(service, sys.stdin, sys.stdout)
@@ -284,6 +327,7 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         TenantRegistry,
     )
 
+    _pin_blas_to_one_thread()
     if args.tenants:
         tenants = TenantRegistry.from_file(args.tenants)
     else:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.models.bert import BertConfig, BertForMaskedLM
+from repro.models.inference import cls_forward
 from repro.models.ke import KnowledgeEmbeddingObjective
 from repro.models.telebert import TeleBertTrainer
-from repro.nn.module import inference_mode
 from repro.numeric.anenc import AdaptiveNumericEncoder
 from repro.numeric.heads import NumericDecoder, TagClassifier
 from repro.numeric.losses import NumericLossComputer, NumericLossOutput
@@ -293,18 +293,18 @@ class KTeleBert:
     def encode(self, rows: list) -> np.ndarray:
         """Deterministic service embeddings ([CLS] outputs) for mixed rows.
 
-        Runs dropout-free under a thread-local :func:`inference_mode`
-        rather than toggling the shared modules' train/eval flags, so
-        concurrent encodes (and a concurrent training step) never see
-        each other's mode, and the model's mode is left as it was.
+        Runs the tape-free :func:`~repro.models.inference.cls_forward`,
+        which has no dropout and no mode state, so concurrent encodes (and
+        a concurrent training step) never see each other, and the model's
+        train/eval mode is left as it was.
         """
         prep = self._prepare(rows)
-        with no_grad(), inference_mode():
-            overrides, _ = self._numeric_overrides(prep)
-            out = self.mlm_model.bert.cls_embeddings(
-                prep["ids"], prep["mask"],
-                embedding_overrides=overrides).data.copy()
-        return out
+        with no_grad():  # ANEnc has no dropout, so its mode does not matter
+            overrides, h = self._numeric_overrides(prep)
+        if overrides is not None:
+            overrides = (overrides[0], h.data)
+        return cls_forward(self.mlm_model.bert, prep["ids"], prep["mask"],
+                           overrides=overrides)
 
     def encode_texts(self, texts: list[str]) -> np.ndarray:
         """Service embeddings for plain strings."""

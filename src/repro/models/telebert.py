@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.models.bert import BertConfig, BertEncoder
 from repro.models.electra import ElectraPretrainer
+from repro.models.inference import cls_forward
 from repro.nn.losses import info_nce
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.tokenization.tokenizer import WordTokenizer, basic_tokenize
@@ -76,15 +77,10 @@ class TeleBertTrainer:
         """The pre-trained discriminator encoder (the TeleBERT model)."""
         return self.pretrainer.discriminator
 
-    def _encode_batch(self, sentences: list[str]):
-        ids, mask = self.tokenizer.encode_batch(sentences)
-        tokens = [self.tokenizer.encode(s).tokens for s in sentences]
-        return ids, mask, tokens
-
     def train_step(self) -> float:
         """One optimization step: ELECTRA losses + SimCSE contrastive."""
         sentences = self.batches.next_batch()
-        ids, mask, tokens = self._encode_batch(sentences)
+        ids, mask, tokens = self.tokenizer.encode_batch_with_tokens(sentences)
         self.optimizer.zero_grad()
 
         out = self.pretrainer.step(ids, mask, self.masker, tokens=tokens)
@@ -121,20 +117,15 @@ class TeleBertTrainer:
     def encode_sentences(self, sentences: list[str]) -> np.ndarray:
         """Service embeddings: deterministic [CLS] vectors for raw sentences.
 
-        Dropout-free via the thread-local :func:`inference_mode`; the
-        shared modules' train/eval flags are never touched.
+        Runs the tape-free :func:`~repro.models.inference.cls_forward`;
+        the shared modules' train/eval flags are never touched.
         """
-        from repro.nn.module import inference_mode
-        from repro.tensor import no_grad
         ids, mask = self.tokenizer.encode_batch(sentences)
         # Stage 2 may have grown the shared vocabulary after this encoder was
         # trained; map tokens it never saw to [UNK].
         table_size = self.encoder.token_embedding.num_embeddings
         ids = np.where(ids < table_size, ids, self.tokenizer.vocab.unk_id)
-        with no_grad(), inference_mode():
-            out = self.encoder.cls_embeddings(ids, mask).data.copy()
-        return out
-
+        return cls_forward(self.encoder, ids, mask)
 
     def evaluate_mlm_accuracy(self, sentences: list[str],
                               masking_rate: float = 0.15,

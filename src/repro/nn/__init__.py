@@ -8,7 +8,7 @@ in-batch contrastive for `L_nc`, Kendall-Gal automatic loss weighting, and the
 orthogonal regularizer from Eq. 8).
 """
 
-from repro.nn.module import Module, ModuleList, Parameter, inference_mode
+from repro.nn.module import Module, ModuleList, Parameter
 from repro.nn.layers import (
     GELU,
     Dropout,
@@ -52,7 +52,6 @@ __all__ = [
     "TransformerEncoder",
     "TransformerEncoderLayer",
     "clip_grad_norm",
-    "inference_mode",
     "info_nce",
     "margin_ranking_loss",
     "numeric_contrastive_loss",

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from repro.nn.module import Module, Parameter, is_inference
+from repro.nn.module import Module, Parameter
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 
@@ -99,8 +99,7 @@ class Dropout(Module):
         self.rng = rng
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, self.rng,
-                         training=self.training and not is_inference())
+        return F.dropout(x, self.rate, self.rng, training=self.training)
 
 
 class Sequential(Module):

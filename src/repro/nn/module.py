@@ -5,41 +5,15 @@ gradients; :class:`Module` auto-registers parameters and sub-modules assigned
 as attributes, and provides traversal (``parameters`` / ``named_parameters``),
 train/eval mode switching, gradient zeroing, and a flat ``state_dict`` for
 checkpointing.
-
-:func:`inference_mode` gives the calling thread eval-mode behaviour
-(dropout off) without touching any module's ``training`` flag, so a
-forward run for serving never changes what a concurrent training step,
-or another serving thread, sees.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from typing import Iterator
 
 import numpy as np
 
 from repro.tensor.tensor import Tensor
-
-
-_mode_state = threading.local()
-
-
-def is_inference() -> bool:
-    """True inside :func:`inference_mode` on the calling thread."""
-    return getattr(_mode_state, "inference", False)
-
-
-@contextlib.contextmanager
-def inference_mode():
-    """Run this thread's forwards as in eval mode, leaving modes alone."""
-    previous = is_inference()
-    _mode_state.inference = True
-    try:
-        yield
-    finally:
-        _mode_state.inference = previous
 
 
 class Parameter(Tensor):

@@ -62,10 +62,13 @@ class WordTokenizer:
     def tokenize(self, text: str) -> list[str]:
         return basic_tokenize(text, lowercase=self.lowercase)
 
+    def _wrap(self, text: str) -> list[str]:
+        """``[CLS] tokens... [SEP]``, truncated to ``max_length``."""
+        return [CLS] + self.tokenize(text)[: self.max_length - 2] + [SEP]
+
     def encode(self, text: str) -> Encoding:
         """Encode a single sentence; no padding is applied."""
-        tokens = self.tokenize(text)[: self.max_length - 2]
-        wrapped = [CLS] + tokens + [SEP]
+        wrapped = self._wrap(text)
         ids = np.asarray(self.vocab.encode(wrapped), dtype=np.int64)
         mask = np.ones(len(wrapped), dtype=np.int64)
         return Encoding(ids=ids, attention_mask=mask, tokens=wrapped)
@@ -80,25 +83,28 @@ class WordTokenizer:
         use this instead of calling :meth:`encode_batch` and :meth:`encode`
         separately, which doubles the tokenization work per training step.
         """
-        encodings = [self.encode(t) for t in texts]
-        ids, mask = self._pad(encodings, pad_to)
-        return ids, mask, [e.tokens for e in encodings]
+        rows = [self._wrap(t) for t in texts]
+        ids, mask = self._pad(rows, pad_to)
+        return ids, mask, rows
 
     def encode_batch(self, texts: Sequence[str],
                      pad_to: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Encode texts into padded ``(ids, attention_mask)`` matrices."""
-        return self._pad([self.encode(t) for t in texts], pad_to)
+        return self._pad([self._wrap(t) for t in texts], pad_to)
 
-    def _pad(self, encodings: Sequence[Encoding],
+    def _pad(self, rows: Sequence[list[str]],
              pad_to: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        length = pad_to or max(len(e.ids) for e in encodings)
-        ids = np.full((len(encodings), length), self.vocab.pad_id,
-                      dtype=np.int64)
-        mask = np.zeros((len(encodings), length), dtype=np.int64)
-        for row, enc in enumerate(encodings):
-            n = min(len(enc.ids), length)
-            ids[row, :n] = enc.ids[:n]
-            mask[row, :n] = enc.attention_mask[:n]
+        """Look up every row's ids and fill one padded ``(ids, mask)`` pair.
+
+        Rows longer than ``pad_to`` are cut to it.
+        """
+        length = pad_to or max(len(r) for r in rows)
+        lengths = np.array([min(len(r), length) for r in rows],
+                           dtype=np.int64)
+        mask = (np.arange(length) < lengths[:, None]).astype(np.int64)
+        ids = np.full(mask.shape, self.vocab.pad_id, dtype=np.int64)
+        encode = self.vocab.encode
+        ids[mask > 0] = [i for row in rows for i in encode(row[:length])]
         return ids, mask
 
     def decode(self, ids: Iterable[int], skip_special: bool = True) -> str:

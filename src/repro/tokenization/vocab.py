@@ -91,7 +91,9 @@ class Vocab:
         return self._id_to_token[index]
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
-        return [self.token_to_id(t) for t in tokens]
+        """Ids of ``tokens``, with ``[UNK]`` for unknown ones."""
+        lookup, unk = self._token_to_id.get, self.unk_id
+        return [lookup(t, unk) for t in tokens]
 
     def decode(self, ids: Sequence[int]) -> list[str]:
         return [self.id_to_token(i) for i in ids]

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import ctypes
 import json
 from pathlib import Path
 
@@ -104,3 +105,41 @@ class TestLint:
                      str(self.ROOT / "src" / "repro" / "lint")])
         assert code == 2
         assert "RL998" in capsys.readouterr().err
+
+
+class TestBlasPinning:
+    """The serve entry points run numpy's OpenBLAS on one thread."""
+
+    @pytest.fixture
+    def openblas(self):
+        from repro.cli import _bundled_openblas
+
+        library = _bundled_openblas()
+        if library is None:
+            pytest.skip("numpy bundles no scipy-openblas thread setter")
+        getter = library.scipy_openblas_get_num_threads64_
+        getter.restype = ctypes.c_int
+        setter = library.scipy_openblas_set_num_threads64_
+        setter.argtypes = [ctypes.c_int]
+        before = getter()
+        yield getter, setter
+        setter(before)
+
+    def test_pins_to_one_thread(self, openblas, monkeypatch):
+        from repro.cli import _pin_blas_to_one_thread
+
+        getter, setter = openblas
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        setter(2)
+        assert _pin_blas_to_one_thread()
+        assert getter() == 1
+
+    def test_respects_the_environment(self, openblas, monkeypatch):
+        from repro.cli import _pin_blas_to_one_thread
+
+        getter, setter = openblas
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        setter(2)
+        chosen = getter()  # OpenBLAS caps it at its own thread limit
+        assert not _pin_blas_to_one_thread()
+        assert getter() == chosen

@@ -8,13 +8,18 @@ import pytest
 
 from repro.corpus import build_tele_corpus
 from repro.kg import build_tele_kg
+import repro.models.inference as inference
 from repro.models import (
     KTeleBert,
     KTeleBertConfig,
     NumericRow,
     TeleBertTrainer,
+    TextRow,
     TripleRow,
 )
+from repro.nn import Adam
+from repro.service import KTeleBertProvider
+from repro.tensor import no_grad
 from repro.tokenization import mine_special_tokens, basic_tokenize
 from repro.training import build_strategy
 from repro.training.retrainer import KTeleBertRetrainer
@@ -203,27 +208,27 @@ class TestEncodeConcurrency:
         # dropout-free in either mode
         np.testing.assert_array_equal(out, reference)
 
-    def test_encode_isolated_from_a_concurrent_encode(self, setup):
-        # One encode pauses mid-forward while another runs start to end;
-        # the paused one must still finish dropout-free.
+    def test_encode_isolated_from_a_concurrent_encode(self, setup,
+                                                      monkeypatch):
+        # One encode pauses mid-forward (inside the serve forward's
+        # LayerNorm) while another runs start to end; the paused one must
+        # still finish with the serial result.
         model = setup[-1]
         reference = model.encode_texts(self.TEXTS)
-        norm = model.mlm_model.bert.embedding_norm
-        original = norm.forward
+        original = inference._layer_norm
         paused, resume = threading.Event(), threading.Event()
 
-        def pausing_forward(x):
-            out = original(x)
+        def pausing_layer_norm(x, norm):
+            original(x, norm)
             if threading.current_thread().name == "paused-encode":
                 paused.set()
                 resume.wait(10)
-            return out
 
         result = {}
         worker = threading.Thread(
             name="paused-encode",
             target=lambda: result.update(out=model.encode_texts(self.TEXTS)))
-        norm.forward = pausing_forward
+        monkeypatch.setattr(inference, "_layer_norm", pausing_layer_norm)
         try:
             worker.start()
             assert paused.wait(10)
@@ -231,7 +236,7 @@ class TestEncodeConcurrency:
         finally:
             resume.set()
             worker.join(10)
-            del norm.forward
+        assert not worker.is_alive()
         np.testing.assert_array_equal(result["out"], reference)
 
     def test_threads_match_serial_bit_for_bit(self, setup):
@@ -262,3 +267,116 @@ class TestEncodeConcurrency:
                 np.testing.assert_array_equal(
                     results[slot][j], serial[(slot + j) % len(batches)])
         assert model.mlm_model.training
+
+
+def _tape_encode(model, rows):
+    """The eval-mode autograd forward: the reference for ``encode``."""
+    prep = model._prepare(rows)
+    model.eval()
+    try:
+        with no_grad():
+            overrides, _ = model._numeric_overrides(prep)
+            return model.mlm_model.bert.cls_embeddings(
+                prep["ids"], prep["mask"],
+                embedding_overrides=overrides).data
+    finally:
+        model.train()
+
+
+@pytest.fixture(scope="module")
+def two_layer(setup):
+    """A two-layer stage-2 model of its own, free to be trained further."""
+    world, corpus, kg, _, data, _ = setup
+    trainer = TeleBertTrainer(corpus.sentences, seed=12, d_model=16,
+                              num_layers=2, num_heads=2, d_ff=32, max_len=24,
+                              batch_size=8)
+    trainer.train(steps=2)
+    model = KTeleBert.from_telebert(
+        trainer, KTeleBertConfig(anenc_layers=1, anenc_meta=2, lora_rank=2,
+                                 ke_negatives=3),
+        tag_names=data.tag_names, normalizer=data.normalizer,
+        extra_vocabulary=data.vocabulary(), seed=12)
+    return world, kg, data, trainer, model
+
+
+class TestTapeFreeEncode:
+    """``encode`` runs the tape-free forward; the tape forward is the oracle."""
+
+    @pytest.mark.parametrize("use_anenc", [True, False])
+    @pytest.mark.parametrize("mode", ["name", "entity", "entity_attr"])
+    def test_provider_modes_match_tape_forward(self, two_layer, mode,
+                                               use_anenc):
+        world, kg, _, _, model = two_layer
+        names = ([k.name for k in world.ontology.kpis[:3]]
+                 + [a.name for a in world.ontology.alarms[:2]]
+                 + ["unknown target name"])
+        provider = KTeleBertProvider(model, kg, mode=mode)
+        rows = [provider._row_for(n) for n in names]
+        assert (mode == "entity_attr") == any(
+            isinstance(r, NumericRow) for r in rows)
+        model.config.use_anenc = use_anenc
+        try:
+            out = provider.encode_names(names)
+            reference = _tape_encode(model, rows)
+        finally:
+            model.config.use_anenc = True
+        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
+
+    def test_numeric_log_rows_match_tape_forward(self, two_layer):
+        _, _, data, _, model = two_layer
+        rows = [r for r in data.log_rows if isinstance(r, NumericRow)][:4]
+        rows += [TextRow("[ALM] The link is down")]
+        np.testing.assert_allclose(model.encode(rows),
+                                   _tape_encode(model, rows),
+                                   rtol=0, atol=1e-12)
+
+    def test_encode_sentences_after_stage2_grew_the_vocab(self, two_layer):
+        _, _, _, trainer, _ = two_layer
+        texts = ["[ALM] The link is down", "[ENT] link | [NUM] 3.5",
+                 "the link failure leads to drops"]
+        ids, mask = trainer.tokenizer.encode_batch(texts)
+        table_size = trainer.encoder.token_embedding.num_embeddings
+        assert ids.max() >= table_size  # prompt tokens the encoder never saw
+        clamped = np.where(ids < table_size, ids,
+                           trainer.tokenizer.vocab.unk_id)
+        trainer.encoder.eval()
+        try:
+            with no_grad():
+                reference = trainer.encoder.cls_embeddings(clamped, mask).data
+        finally:
+            trainer.encoder.train()
+        np.testing.assert_allclose(trainer.encode_sentences(texts), reference,
+                                   rtol=0, atol=1e-12)
+
+    def test_reads_live_weights(self, two_layer):
+        _, _, data, _, model = two_layer
+        rows = [r for r in data.log_rows if isinstance(r, NumericRow)][:2]
+        rows += [TextRow("[ALM] The link is down")]
+
+        def check_changed(before):
+            after = model.encode(rows)
+            assert not np.allclose(before, after)
+            np.testing.assert_allclose(after, _tape_encode(model, rows),
+                                       rtol=0, atol=1e-12)
+            return after
+
+        # An optimizer step updates param.data in place.
+        encoded = model.encode(rows)
+        prep = model._prepare(rows)
+        optimizer = Adam(model.mlm_model.parameters(), lr=0.05)
+        optimizer.zero_grad()
+        (model.mlm_model.bert.cls_embeddings(prep["ids"], prep["mask"])
+         ** 2).sum().backward()
+        optimizer.step()
+        encoded = check_changed(encoded)
+        # load_state_dict overwrites it.
+        noise = np.random.default_rng(5)
+        model.mlm_model.load_state_dict({
+            name: value + noise.normal(0.0, 0.05, size=value.shape)
+            for name, value in model.mlm_model.state_dict().items()})
+        encoded = check_changed(encoded)
+        # grow_vocab replaces the token table; a new token must resolve.
+        model.tokenizer.vocab.add_tokens(["brandnewtoken"])
+        model.mlm_model.grow_vocab(1, np.random.default_rng(6))
+        rows = rows + [TextRow("[ALM] brandnewtoken is down")]
+        check_changed(np.zeros((len(rows), model.bert_config.d_model)))

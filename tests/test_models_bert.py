@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.models import BertConfig, BertEncoder, BertForMaskedLM
-from repro.tensor import Tensor
+from repro.models.inference import cls_forward
+from repro.nn import Adam
+from repro.tensor import Tensor, no_grad
 
 
 def _config(vocab=50, max_len=12):
@@ -81,6 +83,95 @@ class TestBertEncoder:
         out.sum().backward()
         assert vectors.grad is not None
         assert np.abs(vectors.grad).sum() > 0
+
+
+def _tape_cls(enc, ids, mask, overrides=None):
+    """The eval-mode autograd forward: the reference for ``cls_forward``."""
+    was_training = enc.training
+    enc.eval()
+    try:
+        with no_grad():
+            if overrides is not None:
+                overrides = (overrides[0], Tensor(overrides[1]))
+            return enc.cls_embeddings(ids, mask,
+                                      embedding_overrides=overrides).data
+    finally:
+        enc.train(was_training)
+
+
+def _padded_batch(generator, vocab=50, batch=5, seq=9):
+    ids = generator.integers(0, vocab, size=(batch, seq))
+    mask = np.ones_like(ids)
+    for row, length in enumerate(generator.integers(2, seq + 1, size=batch)):
+        mask[row, length:] = 0
+        ids[row, length:] = 0
+    return ids, mask
+
+
+class TestClsForward:
+    @pytest.mark.parametrize("num_layers", [0, 1, 3])
+    def test_matches_tape_forward(self, num_layers):
+        config = BertConfig(vocab_size=50, d_model=16, num_layers=num_layers,
+                            num_heads=4, d_ff=32, max_len=12)
+        enc = BertEncoder(config, rng())
+        ids, mask = _padded_batch(np.random.default_rng(num_layers))
+        np.testing.assert_allclose(cls_forward(enc, ids, mask),
+                                   _tape_cls(enc, ids, mask),
+                                   rtol=0, atol=1e-12)
+
+    def test_overrides_match_tape_forward(self):
+        enc = BertEncoder(_config(), rng())
+        ids, mask = _padded_batch(np.random.default_rng(1))
+        overrides = (np.array([[0, 1], [3, 0], [4, 1]]),
+                     np.random.default_rng(2).normal(size=(3, 16)))
+        out = cls_forward(enc, ids, mask, overrides=overrides)
+        np.testing.assert_allclose(out, _tape_cls(enc, ids, mask, overrides),
+                                   rtol=0, atol=1e-12)
+        assert not np.allclose(out, cls_forward(enc, ids, mask))
+
+    def test_padding_does_not_leak(self):
+        enc = BertEncoder(_config(), rng())
+        ids = np.array([[5, 6, 7, 0, 0]])
+        mask = np.array([[1, 1, 1, 0, 0]])
+        padded = cls_forward(enc, ids, mask)
+        other_padding = cls_forward(enc, np.array([[5, 6, 7, 9, 9]]), mask)
+        np.testing.assert_allclose(padded, other_padding, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(padded, cls_forward(enc, ids[:, :3],
+                                                       mask[:, :3]),
+                                   rtol=0, atol=1e-12)
+
+    def test_reads_live_weights(self):
+        enc = BertEncoder(_config(), rng())
+        ids, mask = _padded_batch(np.random.default_rng(3))
+        before = cls_forward(enc, ids, mask)
+        optimizer = Adam(enc.parameters(), lr=0.05)
+        optimizer.zero_grad()
+        (enc.cls_embeddings(ids, mask) ** 2).sum().backward()
+        optimizer.step()
+        after = cls_forward(enc, ids, mask)
+        assert not np.allclose(before, after)
+        np.testing.assert_allclose(after, _tape_cls(enc, ids, mask),
+                                   rtol=0, atol=1e-12)
+
+    def test_leaves_mode_and_weights_alone(self):
+        enc = BertEncoder(_config(), rng())
+        state = enc.state_dict()
+        ids, mask = _padded_batch(np.random.default_rng(4))
+        first = cls_forward(enc, ids, mask)
+        assert all(m.training for m in enc.modules())
+        np.testing.assert_array_equal(first, cls_forward(enc, ids, mask))
+        for name, value in enc.state_dict().items():
+            np.testing.assert_array_equal(value, state[name])
+
+    def test_validation(self):
+        enc = BertEncoder(_config(max_len=4), rng())
+        with pytest.raises(ValueError):
+            cls_forward(enc, np.zeros((1, 5), dtype=np.int64),
+                        np.ones((1, 5)))
+        with pytest.raises(IndexError):
+            cls_forward(enc, np.array([[1, 50]]), np.ones((1, 2)))
+        with pytest.raises(ValueError):
+            cls_forward(enc, np.zeros(3, dtype=np.int64), np.ones(3))
 
 
 class TestMaskedLM:

@@ -1,5 +1,6 @@
 """Tests for vocabulary, BPE, tokenizer, and whole-word segmentation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,3 +233,42 @@ def test_bpe_segment_reconstructs_word(chars):
     merges = learn_bpe([word] * 5 + ["abc"] * 3, num_merges=20)
     codec = BpeCodec(merges)
     assert "".join(codec.segment(word)) == word
+
+
+def _per_sentence_batch(tok, texts, pad_to=None):
+    """The per-sentence ``encode()`` path: the reference for the batch fill."""
+    encodings = [tok.encode(t) for t in texts]
+    length = pad_to or max(len(e.ids) for e in encodings)
+    ids = np.full((len(texts), length), tok.vocab.pad_id, dtype=np.int64)
+    mask = np.zeros((len(texts), length), dtype=np.int64)
+    for row, enc in enumerate(encodings):
+        n = min(len(enc.ids), length)
+        ids[row, :n] = enc.ids[:n]
+        mask[row, :n] = enc.attention_mask[:n]
+    return ids, mask, [e.tokens for e in encodings]
+
+
+_BATCH_WORDS = ["alarm", "kpi", "link", "unseen", "0.5", "|", "[ALM]",
+                "[NUM]", "[PROMPT]"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_BATCH_WORDS), max_size=12),
+                min_size=1, max_size=6),
+       st.integers(min_value=3, max_value=10),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=14)))
+def test_batch_fill_matches_per_sentence_encode(sentences, max_length,
+                                                pad_to):
+    vocab = Vocab(["alarm", "kpi", "link", "0.5", "|"])
+    vocab.add_special_tokens(["[ALM]", "[NUM]"])
+    tok = WordTokenizer(vocab, max_length=max_length)
+    texts = [" ".join(words) for words in sentences]
+    want_ids, want_mask, want_tokens = _per_sentence_batch(tok, texts, pad_to)
+    ids, mask, tokens = tok.encode_batch_with_tokens(texts, pad_to=pad_to)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(mask, want_mask)
+    assert ids.dtype == mask.dtype == np.int64
+    assert tokens == want_tokens
+    plain_ids, plain_mask = tok.encode_batch(texts, pad_to=pad_to)
+    np.testing.assert_array_equal(plain_ids, want_ids)
+    np.testing.assert_array_equal(plain_mask, want_mask)
